@@ -9,7 +9,7 @@ BENCH_OUT ?= BENCH_$(REV).json
 # Per-fuzzer exploration budget of the fuzz smoke.
 FUZZTIME ?= 15s
 
-.PHONY: all build test race vet fmt-check staticcheck lint fuzz bench bench-all bench-gate cover serve smoke paper paper-small ci clean
+.PHONY: all build test perfbench-test race vet fmt-check staticcheck lint fuzz bench bench-all bench-gate cover serve smoke paper paper-small ci clean
 
 all: build test
 
@@ -37,6 +37,11 @@ lint: fmt-check vet staticcheck
 
 test: vet
 	$(GO) test ./...
+
+# perfbench is a module of its own (replace mcnet => ../), so `go test ./...`
+# at the root never reaches it; this target vets and tests it in place.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -147,9 +152,10 @@ paper-small:
 	$(GO) run ./cmd/mcrepro -small
 
 # ci mirrors .github/workflows/ci.yml so local runs reproduce the pipeline:
-# lint job (fmt-check, vet, staticcheck), test job (build, test, race, fuzz),
-# the bench-gate, serve-smoke and repro-gate jobs.
-ci: lint build test race fuzz bench-gate smoke paper-small
+# lint job (fmt-check, vet, staticcheck), test job (build, test,
+# perfbench-test, race, fuzz), the bench-gate, serve-smoke and repro-gate
+# jobs.
+ci: lint build test perfbench-test race fuzz bench-gate smoke paper-small
 
 clean:
 	$(GO) clean ./...

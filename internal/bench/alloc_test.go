@@ -36,13 +36,23 @@ func gate(t *testing.T, name string, budget float64, f func()) {
 // without ever touching it structurally once warmed.
 func TestAllocsDESCall(t *testing.T) {
 	var s des.Scheduler
-	c := &callHandler{s: &s, src: rng.New(1)}
+	c := &callHandler{s: &s, src: rng.New(1), rate: 1}
 	c.h = s.Register(c)
 	for i := int32(0); i < 64; i++ {
 		s.Call(c.src.Float64(), c.h, 0, i)
 	}
 	s.RunAll(10000) // warm the heap to steady-state capacity
 	gate(t, "des-call", 0, func() { s.RunAll(50000) })
+}
+
+// TestAllocsDESLanes pins the same zero-allocation property under the
+// production heap shape: two handlers, each with its own event lane, one
+// holding a thousand far-future timers.
+func TestAllocsDESLanes(t *testing.T) {
+	var s des.Scheduler
+	desLanes(&s)
+	s.RunAll(10000)
+	gate(t, "des-lanes", 0, func() { s.RunAll(50000) })
 }
 
 // TestAllocsWormholeLine pins the wormhole grant/advance/release cycle —

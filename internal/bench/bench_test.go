@@ -16,45 +16,69 @@ import (
 	"mcnet/internal/wormhole"
 )
 
-// BenchmarkDESScheduleRun measures raw future-event-list churn: a pool of
-// self-rescheduling timers, the dominant access pattern of the simulator
-// (every executed event schedules roughly one successor).
-func BenchmarkDESScheduleRun(b *testing.B) {
+// callHandler is a self-rescheduling handler: every event it runs schedules
+// its successor an Exp(rate) delay later.
+type callHandler struct {
+	s    *des.Scheduler
+	h    des.HandlerID
+	src  *rng.Source
+	rate float64
+}
+
+func (c *callHandler) HandleEvent(op, arg int32) {
+	c.s.Call(c.s.Now()+c.src.Exp(c.rate), c.h, op, arg)
+}
+
+// BenchmarkDESCall measures raw future-event-list churn: a pool of
+// self-rescheduling timers on one handler, the dominant access pattern of
+// the simulator (every executed event schedules roughly one successor).
+func BenchmarkDESCall(b *testing.B) {
 	const timers = 256
 	b.ReportAllocs()
 	var s des.Scheduler
-	src := rng.New(1)
-	var tick func()
-	tick = func() { s.After(src.Exp(1), tick) }
-	for i := 0; i < timers; i++ {
-		s.At(src.Float64(), tick)
+	c := &callHandler{s: &s, src: rng.New(1), rate: 1}
+	c.h = s.Register(c)
+	for i := int32(0); i < timers; i++ {
+		s.Call(c.src.Float64(), c.h, 0, i)
 	}
 	b.ResetTimer()
 	s.RunAll(uint64(b.N))
 }
 
-// callHandler is a self-rescheduling fast-path handler.
-type callHandler struct {
-	s   *des.Scheduler
-	h   des.HandlerID
-	src *rng.Source
+// Heap shape of an Org1 run: one pending arrival timer per node, far in the
+// future, beside a few dozen in-flight wormhole events near the present.
+// With these rates about 21 of every 22 executed events are near-future
+// ones, as in the simulator.
+const (
+	laneTimers      = 1120
+	laneTimerMean   = 500.0
+	laneChurners    = 48
+	laneChurnerMean = 1.0
+)
+
+// desLanes loads s with the Org1 heap shape: the timers on one handler and
+// the near-future churners on a second.
+func desLanes(s *des.Scheduler) {
+	src := rng.New(1)
+	timers := &callHandler{s: s, src: src, rate: 1 / laneTimerMean}
+	churn := &callHandler{s: s, src: src, rate: 1 / laneChurnerMean}
+	timers.h = s.Register(timers)
+	churn.h = s.Register(churn)
+	for i := int32(0); i < laneTimers; i++ {
+		s.Call(src.Float64()*laneTimerMean, timers.h, 0, i)
+	}
+	for i := int32(0); i < laneChurners; i++ {
+		s.Call(src.Float64()*laneChurnerMean, churn.h, 0, i)
+	}
 }
 
-func (c *callHandler) HandleEvent(op, arg int32) {
-	c.s.Call(c.s.Now()+c.src.Exp(1), c.h, op, arg)
-}
-
-// BenchmarkDESCall measures the same churn through the allocation-free
-// Call/Register fast path the simulation engines use.
-func BenchmarkDESCall(b *testing.B) {
-	const timers = 256
+// BenchmarkDESLanes measures event churn under the production heap shape
+// (see desLanes): ns/op is the cost of one executed event when most pending
+// events are far-future timers but most executed events are not.
+func BenchmarkDESLanes(b *testing.B) {
 	b.ReportAllocs()
 	var s des.Scheduler
-	c := &callHandler{s: &s, src: rng.New(1)}
-	c.h = s.Register(c)
-	for i := int32(0); i < timers; i++ {
-		s.Call(c.src.Float64(), c.h, 0, i)
-	}
+	desLanes(&s)
 	b.ResetTimer()
 	s.RunAll(uint64(b.N))
 }

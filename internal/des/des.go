@@ -10,22 +10,22 @@
 //
 // # Hot path
 //
-// The future-event list is an index-addressed binary heap over concrete
-// 32-byte event structs stored in one slice. The struct is deliberately
-// pointer-free — callbacks are registered Handler IDs and payloads are
-// caller-managed integer indices — so sift-up/down is a plain value copy
-// with no per-event allocation, no interface boxing and no GC write
-// barriers. Two scheduling APIs feed the heap:
+// Events are dispatched to Handlers registered once via Register:
+// Call(t, h, op, arg) schedules handlers[h].HandleEvent(op, arg), where op
+// discriminates the event kind and arg carries a small integer payload (a
+// channel, node or pool-slot index). Scheduling never allocates once the
+// heaps have grown to their working size.
 //
-//   - Call(t, h, op, arg) is the allocation-free fast path: h names a
-//     Handler registered once via Register, op discriminates the event kind
-//     and arg carries a small integer payload (a channel, node or pool-slot
-//     index). Simulation engines (wormhole, mcsim) dispatch all of their
-//     per-message traffic through it.
-//
-//   - At(t, fn) / After(d, fn) is the ergonomic closure path. It allocates
-//     one small handle per event (which is also what makes Cancel possible)
-//     and is meant for setup, tests and low-rate callers.
+// The future-event list is split into one lane per Handler, each an
+// index-addressed binary heap of pointer-free 24-byte event structs, so
+// sift-up/down is a plain value copy with no interface boxing and no GC
+// write barriers. Step executes the least lane head by the global
+// (time, seq) key; because seq is one counter shared by all lanes, the
+// execution order is exactly that of a single heap. Splitting pays because
+// the engines' event populations differ in kind: the simulator keeps one
+// far-future arrival timer per node pending, while nearly all executed
+// events are near-future wormhole events, which now sift through a heap of
+// their own instead of through the timers.
 package des
 
 import (
@@ -33,7 +33,7 @@ import (
 	"math"
 )
 
-// Handler receives fast-path events. One Handler (typically the simulation
+// Handler receives scheduled events. One Handler (typically the simulation
 // engine itself) serves many event kinds, discriminated by op; arg carries a
 // small integer payload such as a channel, node or pool-slot index.
 type Handler interface {
@@ -43,39 +43,16 @@ type Handler interface {
 // HandlerID names a Handler registered with a Scheduler.
 type HandlerID int32
 
-// closureHandler marks heap slots whose callback is a closure handle (the
-// At/After path); arg then indexes the scheduler's handle table.
-const closureHandler HandlerID = -1
-
-// Event is the handle of a closure-scheduled callback. Cancelled events stay
-// in the heap but are skipped when popped (lazy deletion), which keeps
-// cancellation O(1).
-type Event struct {
-	time     float64
-	fn       func()
-	canceled bool
-}
-
-// Cancel prevents the event from running. Cancelling an already-executed or
-// already-cancelled event is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
-
-// Canceled reports whether the event was cancelled.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// Time returns the simulated time at which the event fires.
-func (e *Event) Time() float64 { return e.time }
-
-// event is one heap slot: 32 pointer-free bytes.
+// event is one heap slot: 24 pointer-free bytes. The handler is implied by
+// the lane that holds the event.
 type event struct {
 	time float64
 	seq  uint64
-	h    HandlerID
 	op   int32
 	arg  int32
 }
 
-// before is the heap order: time, with insertion sequence as the stable
+// before is the event order: time, with insertion sequence as the stable
 // FIFO tie-break.
 func (e *event) before(o *event) bool {
 	if e.time != o.time {
@@ -84,121 +61,37 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// Scheduler owns the simulation clock and the future-event list. The zero
-// value is a scheduler at time 0 with no pending events.
-type Scheduler struct {
-	now      float64
-	seq      uint64
-	events   []event
-	executed uint64
-
-	handlers []Handler
-	// handles and freeHandles form the side table of in-flight closure
-	// events: slots are reused so a steady closure load allocates only the
-	// *Event handles themselves.
-	handles     []*Event
-	freeHandles []int32
-}
-
-// Now returns the current simulated time.
-func (s *Scheduler) Now() float64 { return s.now }
-
-// Pending returns the number of events in the future-event list, including
-// cancelled events not yet discarded.
-func (s *Scheduler) Pending() int { return len(s.events) }
-
-// Executed returns the number of events executed so far.
-func (s *Scheduler) Executed() uint64 { return s.executed }
-
-// Register adds a fast-path handler and returns its ID. Handlers are
-// registered once at construction time and never removed.
-func (s *Scheduler) Register(h Handler) HandlerID {
-	s.handlers = append(s.handlers, h)
-	return HandlerID(len(s.handlers) - 1)
-}
-
-// ErrPastEvent reports an attempt to schedule an event before the current
-// simulated time.
-var ErrPastEvent = errors.New("des: event scheduled in the past")
-
-// checkTime panics on past or non-finite times: scheduling into the past is
-// always a programming error in the caller.
-func (s *Scheduler) checkTime(t float64) {
-	if t < s.now || math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(ErrPastEvent)
-	}
-}
-
-// Call schedules handlers[h].HandleEvent(op, arg) at absolute time t. This
-// is the allocation-free fast path; no handle is returned (fast-path events
-// cannot be cancelled).
-func (s *Scheduler) Call(t float64, h HandlerID, op, arg int32) {
-	s.checkTime(t)
-	s.push(event{time: t, seq: s.seq, h: h, op: op, arg: arg})
-	s.seq++
-}
-
-// CallAfter schedules handlers[h].HandleEvent(op, arg) after delay d.
-func (s *Scheduler) CallAfter(d float64, h HandlerID, op, arg int32) {
-	s.Call(s.now+d, h, op, arg)
-}
-
-// At schedules fn at absolute time t and returns the event handle.
-// It panics if t precedes the current time or is not a finite number.
-func (s *Scheduler) At(t float64, fn func()) *Event {
-	s.checkTime(t)
-	e := &Event{time: t, fn: fn}
-	var slot int32
-	if n := len(s.freeHandles); n > 0 {
-		slot = s.freeHandles[n-1]
-		s.freeHandles = s.freeHandles[:n-1]
-		s.handles[slot] = e
-	} else {
-		slot = int32(len(s.handles))
-		s.handles = append(s.handles, e)
-	}
-	s.push(event{time: t, seq: s.seq, h: closureHandler, arg: slot})
-	s.seq++
-	return e
-}
-
-// After schedules fn after delay d from the current time.
-func (s *Scheduler) After(d float64, fn func()) *Event {
-	return s.At(s.now+d, fn)
-}
-
-// takeHandle detaches and returns the closure handle of slot.
-func (s *Scheduler) takeHandle(slot int32) *Event {
-	e := s.handles[slot]
-	s.handles[slot] = nil
-	s.freeHandles = append(s.freeHandles, slot)
-	return e
+// lane is the future-event heap of one registered Handler.
+type lane struct {
+	h      Handler
+	events []event
 }
 
 // push appends the event and restores the heap by sifting it up.
-func (s *Scheduler) push(e event) {
-	s.events = append(s.events, e)
-	i := len(s.events) - 1
+func (l *lane) push(e event) {
+	l.events = append(l.events, e)
+	h := l.events
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if s.events[parent].before(&e) {
+		if h[parent].before(&e) {
 			break
 		}
-		s.events[i] = s.events[parent]
+		h[i] = h[parent]
 		i = parent
 	}
-	s.events[i] = e
+	h[i] = e
 }
 
 // pop removes and returns the minimum event. The caller guarantees the heap
 // is non-empty.
-func (s *Scheduler) pop() event {
-	h := s.events
+func (l *lane) pop() event {
+	h := l.events
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
 	h = h[:n]
-	s.events = h
+	l.events = h
 	if n > 0 {
 		// Sift `last` down from the root along the smaller-child path.
 		i := 0
@@ -221,27 +114,87 @@ func (s *Scheduler) pop() event {
 	return top
 }
 
-// Step executes the next non-cancelled event and returns true, or returns
-// false if the future-event list is empty.
-func (s *Scheduler) Step() bool {
-	for len(s.events) > 0 {
-		e := s.pop()
-		if e.h == closureHandler {
-			handle := s.takeHandle(e.arg)
-			if handle.canceled {
-				continue
-			}
-			s.now = e.time
-			s.executed++
-			handle.fn()
-			return true
-		}
-		s.now = e.time
-		s.executed++
-		s.handlers[e.h].HandleEvent(e.op, e.arg)
-		return true
+// Scheduler owns the simulation clock and the future-event lanes. The zero
+// value is a scheduler at time 0 with no handlers and no pending events.
+type Scheduler struct {
+	now      float64
+	seq      uint64
+	executed uint64
+	lanes    []lane
+}
+
+// Now returns the current simulated time.
+func (s *Scheduler) Now() float64 { return s.now }
+
+// Pending returns the number of events in the future-event list.
+func (s *Scheduler) Pending() int {
+	n := 0
+	for i := range s.lanes {
+		n += len(s.lanes[i].events)
 	}
-	return false
+	return n
+}
+
+// Executed returns the number of events executed so far.
+func (s *Scheduler) Executed() uint64 { return s.executed }
+
+// Register adds a handler with its own event lane and returns its ID.
+// Handlers are registered once at construction time and never removed.
+func (s *Scheduler) Register(h Handler) HandlerID {
+	s.lanes = append(s.lanes, lane{h: h})
+	return HandlerID(len(s.lanes) - 1)
+}
+
+// ErrPastEvent reports an attempt to schedule an event before the current
+// simulated time.
+var ErrPastEvent = errors.New("des: event scheduled in the past")
+
+// Call schedules handlers[h].HandleEvent(op, arg) at absolute time t. It
+// panics if t precedes the current time or is not a finite number:
+// scheduling into the past is always a programming error in the caller.
+func (s *Scheduler) Call(t float64, h HandlerID, op, arg int32) {
+	if t < s.now || math.IsNaN(t) || math.IsInf(t, 0) {
+		panic(ErrPastEvent)
+	}
+	s.lanes[h].push(event{time: t, seq: s.seq, op: op, arg: arg})
+	s.seq++
+}
+
+// CallAfter schedules handlers[h].HandleEvent(op, arg) after delay d.
+func (s *Scheduler) CallAfter(d float64, h HandlerID, op, arg int32) {
+	s.Call(s.now+d, h, op, arg)
+}
+
+// next returns the lane holding the earliest pending event, or nil if no
+// event is pending.
+func (s *Scheduler) next() *lane {
+	var best *lane
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		if len(l.events) > 0 && (best == nil || l.events[0].before(&best.events[0])) {
+			best = l
+		}
+	}
+	return best
+}
+
+// exec pops and executes the head event of l.
+func (s *Scheduler) exec(l *lane) {
+	e := l.pop()
+	s.now = e.time
+	s.executed++
+	l.h.HandleEvent(e.op, e.arg)
+}
+
+// Step executes the next event and returns true, or returns false if the
+// future-event list is empty.
+func (s *Scheduler) Step() bool {
+	l := s.next()
+	if l == nil {
+		return false
+	}
+	s.exec(l)
+	return true
 }
 
 // Run executes events until the list is exhausted, the clock would pass
@@ -253,15 +206,14 @@ func (s *Scheduler) Run(until float64, maxEvents uint64) StopReason {
 		if maxEvents > 0 && s.executed-start >= maxEvents {
 			return StoppedEventLimit
 		}
-		// Peek for the time-horizon check without disturbing the heap.
-		t, ok := s.peek()
-		if !ok {
+		l := s.next()
+		if l == nil {
 			return StoppedEmpty
 		}
-		if t > until {
+		if l.events[0].time > until {
 			return StoppedHorizon
 		}
-		s.Step()
+		s.exec(l)
 	}
 }
 
@@ -269,19 +221,6 @@ func (s *Scheduler) Run(until float64, maxEvents uint64) StopReason {
 // limit).
 func (s *Scheduler) RunAll(maxEvents uint64) StopReason {
 	return s.Run(math.Inf(1), maxEvents)
-}
-
-// peek returns the firing time of the next non-cancelled event, discarding
-// cancelled events it encounters.
-func (s *Scheduler) peek() (float64, bool) {
-	for len(s.events) > 0 {
-		e := &s.events[0]
-		if e.h != closureHandler || !s.handles[e.arg].canceled {
-			return e.time, true
-		}
-		s.takeHandle(s.pop().arg)
-	}
-	return 0, false
 }
 
 // StopReason describes why Run returned.

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 
+	"mcnet/internal/analytic"
 	"mcnet/internal/mcsim"
 	"mcnet/internal/plot"
 	"mcnet/internal/system"
@@ -152,8 +154,11 @@ func (r Runner) ContentionStudy(points int) ([]plot.Series, error) {
 			if math.IsInf(sat, 1) {
 				return nil, fmt.Errorf("experiments: no saturation point for %s %s", orgName, c.Label)
 			}
-			res, _ := g.Evaluate(sat * 1.02)
-			models[ci] = topoModel{sat: sat, bottleneck: res.Bottleneck}
+			bottleneck, err := saturatedBottleneck(g, sat*1.02)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: contention %s %s: %w", orgName, c.Label, err)
+			}
+			models[ci] = topoModel{sat: sat, bottleneck: bottleneck}
 			if sat < minSat {
 				minSat = sat
 			}
@@ -232,4 +237,19 @@ func (r Runner) ContentionStudy(points int) ([]plot.Series, error) {
 		}
 	}
 	return series, nil
+}
+
+// saturatedBottleneck evaluates the model at a load past its saturation
+// point and returns the component the model names as the first to saturate.
+// A load the model still finds stable has no bottleneck and is an error, as
+// is any evaluation failure other than saturation.
+func saturatedBottleneck(g *analytic.Grid, lambda float64) (string, error) {
+	res, err := g.Evaluate(lambda)
+	if err == nil {
+		return "", fmt.Errorf("model not saturated at λ=%g, no bottleneck to compare", lambda)
+	}
+	if !errors.Is(err, analytic.ErrSaturated) {
+		return "", err
+	}
+	return res.Bottleneck, nil
 }

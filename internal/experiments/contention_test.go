@@ -2,7 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"testing"
+
+	"mcnet/internal/analytic"
+	"mcnet/internal/system"
+	"mcnet/internal/units"
 )
 
 func TestBottleneckTiers(t *testing.T) {
@@ -23,6 +28,39 @@ func TestBottleneckTiers(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(c.want) {
 			t.Errorf("BottleneckTiers(%q) = %v, want %v", c.in, got, c.want)
 		}
+	}
+}
+
+// TestSaturatedBottleneck checks the study's model probe: past the
+// saturation point it names a bottleneck the tier map recognizes, and below
+// it, where the model names none, it reports an error instead of an empty
+// bottleneck.
+func TestSaturatedBottleneck(t *testing.T) {
+	org, err := system.ParseOrganization("org1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := system.New(org)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := newModelGrid(sys, units.Default(), analytic.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sat := g.SaturationPoint(1e-6, 1, 1e-3)
+	if math.IsInf(sat, 1) {
+		t.Fatal("org1 has no saturation point")
+	}
+	b, err := saturatedBottleneck(g, sat*1.02)
+	if err != nil || BottleneckTiers(b) == nil {
+		t.Errorf("past saturation: bottleneck %q, err %v; want a recognized bottleneck", b, err)
+	}
+	if b, err := saturatedBottleneck(g, sat/2); err == nil {
+		t.Errorf("below saturation: bottleneck %q with no error", b)
+	}
+	if _, err := saturatedBottleneck(g, math.NaN()); err == nil {
+		t.Error("invalid load: no error")
 	}
 }
 

@@ -138,47 +138,62 @@ func TestMM1QueueLengthLittlesLaw(t *testing.T) {
 	}
 }
 
-// simulateMG1 runs a small event-driven M/G/1 queue and returns the observed
-// mean waiting time. It doubles as an integration test of the des package.
-func simulateMG1(lambda float64, service func(*rng.Source) float64, n int, seed uint64) float64 {
-	var sched des.Scheduler
-	src := rng.New(seed)
-	var wait stats.Running
+// mg1 is a small event-driven M/G/1 queue: a des.Handler with an arrival
+// and a departure event. It doubles as an integration test of the des
+// package.
+type mg1 struct {
+	sched   des.Scheduler
+	h       des.HandlerID
+	src     *rng.Source
+	lambda  float64
+	service func(*rng.Source) float64
+	left    int       // arrivals still to generate
+	queue   []float64 // arrival times of waiting jobs
+	busy    bool
+	wait    stats.Running
+}
 
-	type job struct{ arrival float64 }
-	var queue []job
-	busy := false
-	var depart func()
-	start := func(j job) {
-		busy = true
-		wait.Add(sched.Now() - j.arrival)
-		sched.After(service(src), depart)
-	}
-	depart = func() {
-		busy = false
-		if len(queue) > 0 {
-			j := queue[0]
-			queue = queue[1:]
-			start(j)
-		}
-	}
-	arrivals := 0
-	var arrive func()
-	arrive = func() {
-		j := job{arrival: sched.Now()}
-		if busy {
-			queue = append(queue, j)
+const (
+	opArrive int32 = iota
+	opDepart
+)
+
+func (q *mg1) HandleEvent(op, _ int32) {
+	switch op {
+	case opArrive:
+		if q.busy {
+			q.queue = append(q.queue, q.sched.Now())
 		} else {
-			start(j)
+			q.start(q.sched.Now())
 		}
-		arrivals++
-		if arrivals < n {
-			sched.After(src.Exp(lambda), arrive)
+		if q.left--; q.left > 0 {
+			q.sched.CallAfter(q.src.Exp(q.lambda), q.h, opArrive, 0)
+		}
+	case opDepart:
+		q.busy = false
+		if len(q.queue) > 0 {
+			arrival := q.queue[0]
+			q.queue = q.queue[1:]
+			q.start(arrival)
 		}
 	}
-	sched.After(src.Exp(lambda), arrive)
-	sched.RunAll(0)
-	return wait.Mean()
+}
+
+// start puts the job that arrived at time arrival into service.
+func (q *mg1) start(arrival float64) {
+	q.busy = true
+	q.wait.Add(q.sched.Now() - arrival)
+	q.sched.CallAfter(q.service(q.src), q.h, opDepart, 0)
+}
+
+// simulateMG1 runs n arrivals through an M/G/1 queue and returns the
+// observed mean waiting time.
+func simulateMG1(lambda float64, service func(*rng.Source) float64, n int, seed uint64) float64 {
+	q := &mg1{src: rng.New(seed), lambda: lambda, service: service, left: n}
+	q.h = q.sched.Register(q)
+	q.sched.CallAfter(q.src.Exp(lambda), q.h, opArrive, 0)
+	q.sched.RunAll(0)
+	return q.wait.Mean()
 }
 
 func TestMG1FormulaAgainstSimulation(t *testing.T) {

@@ -14,6 +14,29 @@ func newNet(fts ...float64) (*des.Scheduler, *Network) {
 	return sched, New(sched, fts)
 }
 
+// injector is a test Handler that injects worms into a network at scheduled
+// times.
+type injector struct {
+	sched *des.Scheduler
+	net   *Network
+	h     des.HandlerID
+	worms []*Worm
+}
+
+func newInjector(sched *des.Scheduler, net *Network) *injector {
+	in := &injector{sched: sched, net: net}
+	in.h = sched.Register(in)
+	return in
+}
+
+// at schedules net.Inject(w) at time t.
+func (in *injector) at(t float64, w *Worm) {
+	in.sched.Call(t, in.h, 0, int32(len(in.worms)))
+	in.worms = append(in.worms, w)
+}
+
+func (in *injector) HandleEvent(_, arg int32) { in.net.Inject(in.worms[arg]) }
+
 func TestSingleWormUniformPipeline(t *testing.T) {
 	// Zero-load latency over K channels of equal flit time is (M+K−1)·ft.
 	const ft = 0.5
@@ -68,14 +91,15 @@ func TestTwoWormsSerializeOnSharedChannel(t *testing.T) {
 	// Hand-simulated scenario (see test comment in the history): A injected
 	// at 0, B at 0.5, both over channels (0,1) with ft=1, M=2.
 	sched, net := newNet(1, 1)
+	inj := newInjector(sched, net)
 	var tails []float64
 	mk := func(id uint64) *Worm {
 		return &Worm{ID: id, Path: []int32{0, 1}, Flits: 2,
 			OnDone: func(w *Worm) { tails = append(tails, w.TailAt) }}
 	}
 	a, b := mk(1), mk(2)
-	sched.At(0, func() { net.Inject(a) })
-	sched.At(0.5, func() { net.Inject(b) })
+	inj.at(0, a)
+	inj.at(0.5, b)
 	sched.RunAll(0)
 	if len(tails) != 2 {
 		t.Fatalf("delivered %d worms, want 2", len(tails))
@@ -90,11 +114,12 @@ func TestTwoWormsSerializeOnSharedChannel(t *testing.T) {
 
 func TestFIFOOrderOnInjectionChannel(t *testing.T) {
 	sched, net := newNet(1, 1)
+	inj := newInjector(sched, net)
 	var order []uint64
 	for i := uint64(1); i <= 5; i++ {
 		w := &Worm{ID: i, Path: []int32{0, 1}, Flits: 3,
 			OnDone: func(w *Worm) { order = append(order, w.ID) }}
-		sched.At(0, func() { net.Inject(w) })
+		inj.at(0, w)
 	}
 	sched.RunAll(0)
 	for i, id := range order {
@@ -109,15 +134,16 @@ func TestChainedBlockingHoldsUpstreamChannels(t *testing.T) {
 	// channel 1, which in turn delays C (route 1 only → distinct endpoint is
 	// impossible, so give C route (1,3)).
 	sched, net := newNet(1, 1, 1, 1)
+	inj := newInjector(sched, net)
 	var tailB, tailC float64
 	a := &Worm{ID: 1, Path: []int32{2}, Flits: 10}
 	b := &Worm{ID: 2, Path: []int32{1, 2}, Flits: 2,
 		OnDone: func(w *Worm) { tailB = w.TailAt }}
 	c := &Worm{ID: 3, Path: []int32{1, 3}, Flits: 2,
 		OnDone: func(w *Worm) { tailC = w.TailAt }}
-	sched.At(0, func() { net.Inject(a) })    // holds ch2 until t=10
-	sched.At(0.5, func() { net.Inject(b) })  // acquires ch1 at 0.5, blocks on ch2
-	sched.At(0.75, func() { net.Inject(c) }) // waits for ch1 behind B
+	inj.at(0, a)    // holds ch2 until t=10
+	inj.at(0.5, b)  // acquires ch1 at 0.5, blocks on ch2
+	inj.at(0.75, c) // waits for ch1 behind B
 	sched.RunAll(0)
 	// B: granted ch2 at t=10, header at 11, tail at max(.., 10+2)=12.
 	if math.Abs(tailB-12) > 1e-12 {
@@ -144,6 +170,7 @@ func TestConservationUnderRandomLoad(t *testing.T) {
 		fts[i] = 0.25 + src.Float64()
 	}
 	net := New(sched, fts)
+	inj := newInjector(sched, net)
 	delivered := 0
 	for i := 0; i < worms; i++ {
 		// Random path of 1..6 distinct channels, acquired in increasing
@@ -164,7 +191,7 @@ func TestConservationUnderRandomLoad(t *testing.T) {
 					t.Errorf("worm %d: inconsistent times %v/%v/%v", w.ID, w.InjectedAt, w.HeaderAt, w.TailAt)
 				}
 			}}
-		sched.At(src.Float64()*500, func() { net.Inject(w) })
+		inj.at(src.Float64()*500, w)
 	}
 	sched.RunAll(0)
 	if delivered != worms {
@@ -192,6 +219,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() []float64 {
 		sched := &des.Scheduler{}
 		net := New(sched, []float64{1, 1, 1, 1, 1, 1})
+		inj := newInjector(sched, net)
 		src := rng.New(7)
 		var tails []float64
 		for i := 0; i < 500; i++ {
@@ -201,7 +229,7 @@ func TestDeterminism(t *testing.T) {
 			}
 			w := &Worm{ID: uint64(i), Path: []int32{a, b}, Flits: 4,
 				OnDone: func(w *Worm) { tails = append(tails, w.TailAt) }}
-			sched.At(src.Float64()*200, func() { net.Inject(w) })
+			inj.at(src.Float64()*200, w)
 		}
 		sched.RunAll(0)
 		return tails
@@ -257,11 +285,12 @@ func TestMaxQueueLenHighWater(t *testing.T) {
 	// Queue three worms behind a long-running holder: the high-water mark
 	// must reach 3 and survive the queue draining.
 	sched, net := newNet(1, 1)
+	inj := newInjector(sched, net)
 	a := &Worm{ID: 1, Path: []int32{0}, Flits: 50}
-	sched.At(0, func() { net.Inject(a) })
+	inj.at(0, a)
 	for i := uint64(2); i <= 4; i++ {
 		w := &Worm{ID: i, Path: []int32{0, 1}, Flits: 1}
-		sched.At(float64(i), func() { net.Inject(w) })
+		inj.at(float64(i), w)
 	}
 	sched.RunAll(0)
 	if got := net.MaxQueueLen(0); got != 3 {
@@ -274,13 +303,14 @@ func TestMaxQueueLenHighWater(t *testing.T) {
 
 func TestSourceWaitAccessor(t *testing.T) {
 	sched, net := newNet(1)
+	inj := newInjector(sched, net)
 	blocker := &Worm{ID: 1, Path: []int32{0}, Flits: 5}
 	waiter := &Worm{ID: 2, Path: []int32{0}, Flits: 1}
 	if !math.IsNaN(waiter.SourceWait()) {
 		t.Error("SourceWait before injection should be NaN")
 	}
-	sched.At(0, func() { net.Inject(blocker) })
-	sched.At(1, func() { net.Inject(waiter) })
+	inj.at(0, blocker)
+	inj.at(1, waiter)
 	sched.RunAll(0)
 	// Blocker holds channel 0 for 5 units; waiter injected at 1 → waits 4.
 	if got := waiter.SourceWait(); math.Abs(got-4) > 1e-12 {
@@ -340,6 +370,7 @@ func BenchmarkThousandWorms(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sched := &des.Scheduler{}
 		net := New(sched, []float64{1, 1, 1, 1, 1, 1, 1, 1})
+		inj := newInjector(sched, net)
 		src := rng.New(3)
 		for j := 0; j < 1000; j++ {
 			a, c := int32(src.Intn(8)), int32(src.Intn(8))
@@ -347,7 +378,7 @@ func BenchmarkThousandWorms(b *testing.B) {
 				continue
 			}
 			w := &Worm{ID: uint64(j), Path: []int32{a, c}, Flits: 32}
-			sched.At(src.Float64()*1000, func() { net.Inject(w) })
+			inj.at(src.Float64()*1000, w)
 		}
 		sched.RunAll(0)
 	}
