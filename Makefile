@@ -98,8 +98,10 @@ ADDR ?= 127.0.0.1:8080
 serve:
 	$(GO) run ./cmd/mcserved -addr $(ADDR)
 
-# smoke boots mcserved on an ephemeral port, curls /healthz and /v1/analyze,
-# checks every response carries an X-Request-ID correlation header, runs a
+# smoke boots mcserved on an ephemeral port, curls /healthz and /v1/analyze
+# (a repeat must be a byte-identical cache hit; another load on the same org
+# must report the same saturation_point), checks every response carries an
+# X-Request-ID correlation header, runs a
 # real simulate job through the queue and scrapes its per-tier contention
 # report from /v1/jobs/{id}/telemetry, and pipes both Prometheus scrape
 # forms (the dedicated endpoint and the Accept-negotiated /metrics, now
@@ -124,8 +126,15 @@ smoke:
 	echo "smoke: $$url"; \
 	curl -fsS -D "$$tmp/hdrs" "$$url/healthz"; \
 	grep -qi '^x-request-id:' "$$tmp/hdrs" || { echo "smoke: response missing X-Request-ID header"; exit 1; }; \
-	curl -fsS -X POST -d '{"org":"org1","lambda":0.0003}' "$$url/v1/analyze"; \
-	curl -fsS -X POST -d '{"org":"org1","lambda":0.0003}' "$$url/v1/analyze"; \
+	curl -fsS -X POST -d '{"org":"org1","lambda":0.0003}' "$$url/v1/analyze" >"$$tmp/a1"; \
+	curl -fsS -D "$$tmp/h2" -X POST -d '{"org":"org1","lambda":0.0003}' "$$url/v1/analyze" >"$$tmp/a2"; \
+	cat "$$tmp/a1"; \
+	grep -qi '^x-cache: hit' "$$tmp/h2" || { echo "smoke: repeated analyze was not a cache hit"; exit 1; }; \
+	cmp -s "$$tmp/a1" "$$tmp/a2" || { echo "smoke: repeated analyze bodies differ"; cat "$$tmp/a2"; exit 1; }; \
+	curl -fsS -X POST -d '{"org":"org1","lambda":0.0002}' "$$url/v1/analyze" >"$$tmp/a3"; \
+	sat1="$$(sed -n 's/.*"saturation_point":\([^,}]*\).*/\1/p' "$$tmp/a1")"; \
+	sat3="$$(sed -n 's/.*"saturation_point":\([^,}]*\).*/\1/p' "$$tmp/a3")"; \
+	[ -n "$$sat1" ] && [ "$$sat1" = "$$sat3" ] || { echo "smoke: saturation_point changed with lambda: '$$sat1' vs '$$sat3'"; exit 1; }; \
 	id="$$(curl -fsS -X POST -d '{"org":"org1","lambda":0.0003,"warmup":100,"measure":1000,"drain":100}' "$$url/v1/simulate" | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')"; \
 	[ -n "$$id" ] || { echo "smoke: simulate returned no job id"; exit 1; }; \
 	i=0; while [ $$i -lt 100 ]; do \

@@ -693,14 +693,17 @@ func (m *Model) MeanLatency(lambdaG float64) (float64, error) {
 
 // SaturationPoint locates the offered traffic at which the model first
 // saturates, by doubling search followed by bisection to the given relative
-// tolerance. It returns +Inf if no saturation is found below limit.
+// tolerance. It returns +Inf if no saturation is found below limit. The
+// probes run through a throwaway Grid, which is bit-identical to Evaluate
+// and gives each call its own scratch, so concurrent calls stay safe.
 func (m *Model) SaturationPoint(start, limit, tol float64) float64 {
-	return saturationPoint(m.Evaluate, start, limit, tol)
+	return NewGrid(m).SaturationPoint(start, limit, tol)
 }
 
 // SaturationPoint is the batched counterpart of Model.SaturationPoint: the
 // search probes the same λ sequence through the grid's evaluator, so it
-// returns the identical point while reusing the grid's scratch.
+// returns the point the point-wise Evaluate would, reusing the grid's
+// scratch.
 func (g *Grid) SaturationPoint(start, limit, tol float64) float64 {
 	return saturationPoint(g.Evaluate, start, limit, tol)
 }

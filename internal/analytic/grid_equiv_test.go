@@ -191,16 +191,18 @@ func TestGridEvaluateInvalid(t *testing.T) {
 	}
 }
 
-// TestGridSaturationPoint pins that the batched saturation search lands on
-// the identical point.
+// TestGridSaturationPoint pins that the batched saturation search, and
+// Model.SaturationPoint which runs through it, land on the identical point
+// as the search over point-wise Model.Evaluate.
 func TestGridSaturationPoint(t *testing.T) {
 	for _, org := range []string{system.Format(system.Table1Org1()), "m=4:2x1@ecn1=0.04/0.02/0.004,2x2@2"} {
 		m := buildModel(t, org, "", 32, 256, analytic.DefaultOptions())
-		g := analytic.NewGrid(m)
-		want := m.SaturationPoint(1e-6, 1, 1e-4)
-		got := g.SaturationPoint(1e-6, 1, 1e-4)
-		if !bitsEqual(want, got) {
-			t.Fatalf("org %s: saturation point diverged: %x vs %x", org, want, got)
+		want := analytic.PointwiseSaturationPoint(m, 1e-6, 1, 1e-4)
+		if got := analytic.NewGrid(m).SaturationPoint(1e-6, 1, 1e-4); !bitsEqual(want, got) {
+			t.Fatalf("org %s: grid saturation point diverged: %x vs %x", org, want, got)
+		}
+		if got := m.SaturationPoint(1e-6, 1, 1e-4); !bitsEqual(want, got) {
+			t.Fatalf("org %s: model saturation point diverged: %x vs %x", org, want, got)
 		}
 	}
 }

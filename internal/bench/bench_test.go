@@ -2,7 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"mcnet/internal/des"
@@ -208,6 +210,41 @@ func BenchmarkServeAnalyze(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if code := post(); code != 200 {
 			b.Fatalf("status %d", code)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// BenchmarkServeAnalyzeMiss measures the /v1/analyze response-cache miss on
+// a warm prepared model: every iteration sends a load not seen before on
+// org1, so the handler evaluates the model once (Eq. 36) and renders a new
+// document, while the model itself, its saturation point and the canonical
+// org spec come from the server's caches. The loads stay below org1's
+// saturation point.
+func BenchmarkServeAnalyzeMiss(b *testing.B) {
+	srv, err := serve.New(serve.Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	post := func(lambda float64) (int, string) {
+		body := fmt.Sprintf(`{"org":"org1","lambda":%v}`, lambda)
+		req := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code, rec.Header().Get("X-Cache")
+	}
+	if code, _ := post(0.0003); code != 200 {
+		b.Fatalf("warmup request: status %d", code)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Distinct loads in (1e-4, 2e-4); the warmup load is outside it.
+		lambda := 1e-4 * (1 + float64(i+1)/float64(b.N+1))
+		if code, cache := post(lambda); code != 200 || cache != "miss" {
+			b.Fatalf("λ=%v: status %d, X-Cache %q", lambda, code, cache)
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")

@@ -80,25 +80,25 @@ func (c scenario) params() (units.Params, error) {
 }
 
 // canonicalScenario validates and canonicalizes an analyze request's
-// fields. Model "none" is rejected: an analyze without an analytic curve
-// has nothing to answer.
-func canonicalScenario(org string, lambda float64, flits, flitBytes int, links string, tech *sweep.Tech, model string) (scenario, error) {
+// fields, canonicalizing the org spec through canonOrg. Model "none" is
+// rejected: an analyze without an analytic curve has nothing to answer.
+func canonicalScenario(req analyzeRequest, canonOrg func(string) (string, error)) (scenario, error) {
 	var c scenario
 	var err error
-	if c.org, err = canonicalOrgSpec(org); err != nil {
+	if c.org, err = canonOrg(req.Org); err != nil {
 		return c, err
 	}
-	if c.flits, c.flitBytes, err = resolveGeometry(flits, flitBytes); err != nil {
+	if c.flits, c.flitBytes, err = resolveGeometry(req.Flits, req.FlitBytes); err != nil {
 		return c, err
 	}
-	tiers, err := units.ParseTiers(links)
+	tiers, err := units.ParseTiers(req.Links)
 	if err != nil {
 		return c, err
 	}
 	c.links = tiers.String()
-	c.tech = resolveTech(tech)
+	c.tech = resolveTech(req.Tech)
 
-	c.model = model
+	c.model = req.Model
 	if c.model == "" {
 		c.model = "calibrated"
 	}
@@ -109,10 +109,10 @@ func canonicalScenario(org string, lambda float64, flits, flitBytes int, links s
 		return c, err
 	}
 
-	if err := checkLambda(lambda); err != nil {
+	if err := checkLambda(req.Lambda); err != nil {
 		return c, err
 	}
-	c.lambda = lambda
+	c.lambda = req.Lambda
 
 	if _, err := c.params(); err != nil {
 		return c, err
@@ -139,7 +139,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	c, err := canonicalScenario(req.Org, req.Lambda, req.Flits, req.FlitBytes, req.Links, req.Tech, req.Model)
+	c, err := canonicalScenario(req, s.canonicalOrg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -205,8 +205,9 @@ func (s *Server) renderAnalyze(c scenario) ([]byte, error) {
 
 // evalModel evaluates the scenario's mean latency (Eq. 36) at its load,
 // plus the saturation point the figures stop at. Both run through the
-// server's prepared-model cache under one lock hold: the saturation search
-// probes dozens of λ points and reuses the grid's scratch for all of them.
+// server's prepared-model cache under one lock hold. The saturation search
+// probes dozens of λ points, so it runs once per prepared model; later
+// loads reuse its answer and pay one evaluation each.
 func (s *Server) evalModel(c scenario) (lat sweep.Float, saturated bool, satPoint sweep.Float, err error) {
 	par, err := c.params()
 	if err != nil {
@@ -230,6 +231,6 @@ func (s *Server) evalModel(c scenario) (lat sweep.Float, saturated bool, satPoin
 	default:
 		lat = sweep.Float(v)
 	}
-	satPoint = sweep.Float(pm.grid.SaturationPoint(1e-6, 1, 1e-4))
+	satPoint = sweep.Float(pm.saturationPoint())
 	return lat, saturated, satPoint, nil
 }

@@ -48,11 +48,12 @@ type jobRequest struct {
 }
 
 // toJob canonicalizes the request into a sweep.Job, the unit of execution,
-// identity and caching everywhere in this codebase.
-func (req jobRequest) toJob() (sweep.Job, error) {
+// identity and caching everywhere in this codebase. canonOrg canonicalizes
+// the org spec.
+func (req jobRequest) toJob(canonOrg func(string) (string, error)) (sweep.Job, error) {
 	var j sweep.Job
 	var err error
-	if j.Org, err = canonicalOrgSpec(req.Org); err != nil {
+	if j.Org, err = canonOrg(req.Org); err != nil {
 		return j, err
 	}
 	if j.Flits, j.FlitBytes, err = resolveGeometry(req.Flits, req.FlitBytes); err != nil {
@@ -428,7 +429,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, kind jobKind)
 			return
 		}
 	}
-	j, err := req.toJob()
+	j, err := req.toJob(s.canonicalOrg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

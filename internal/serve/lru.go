@@ -5,9 +5,10 @@ import (
 	"sync"
 )
 
-// lruCache is a fixed-capacity least-recently-used map. It backs both the
-// in-memory outcome layer over the disk cache and the rendered-response
-// cache of the analyze fast path. Safe for concurrent use.
+// lruCache is a fixed-capacity least-recently-used map. It backs every
+// in-memory cache of the server: the outcome layer over the disk cache, the
+// analyze fast path's rendered responses, prepared models and canonical org
+// specs, and the telemetry reports. Safe for concurrent use.
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int

@@ -31,6 +31,22 @@ func canonicalOrgSpec(spec string) (string, error) {
 	return system.Format(org), nil
 }
 
+// canonicalOrg is canonicalOrgSpec memoized by raw spec string, so a
+// repeated spelling skips materializing every cluster tree and topology.
+// Only successes are cached: an invalid spec re-runs and fails with the
+// same error every time.
+func (s *Server) canonicalOrg(spec string) (string, error) {
+	if v, ok := s.orgs.Get(spec); ok {
+		return v.(string), nil
+	}
+	canon, err := canonicalOrgSpec(spec)
+	if err != nil {
+		return "", err
+	}
+	s.orgs.Put(spec, canon)
+	return canon, nil
+}
+
 // resolveGeometry fills the default message geometry (the paper's M=32,
 // L_m=256) for zero fields and rejects non-positive ones.
 func resolveGeometry(flits, flitBytes int) (int, int, error) {
@@ -73,6 +89,20 @@ func checkLambda(lambda float64) error {
 type preparedModel struct {
 	mu   sync.Mutex
 	grid *analytic.Grid
+	// sat is the model's saturation point, searched once on first use
+	// (satDone): it depends only on the model, never on λ. Guarded by mu.
+	sat     float64
+	satDone bool
+}
+
+// saturationPoint returns the model's saturation point, running the search
+// on the first call. The caller must hold pm.mu.
+func (pm *preparedModel) saturationPoint() float64 {
+	if !pm.satDone {
+		pm.sat = pm.grid.SaturationPoint(1e-6, 1, 1e-4)
+		pm.satDone = true
+	}
+	return pm.sat
 }
 
 // modelKey canonically identifies a prepared model: everything that feeds

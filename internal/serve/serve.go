@@ -74,8 +74,9 @@ type Config struct {
 	// MaxJobs bounds retained job records; the oldest finished records are
 	// evicted first (0 = 4096).
 	MaxJobs int
-	// CacheSize bounds the in-memory LRU of simulation outcomes and rendered
-	// analyze responses, each (0 = 4096).
+	// CacheSize bounds each in-memory LRU (0 = 4096): simulation outcomes,
+	// rendered analyze responses, prepared analytic models, canonical org
+	// specs and telemetry reports.
 	CacheSize int
 	// Disk, if non-nil, is a second outcome-cache layer under the LRU —
 	// typically a *sweep.DirCache shared with cmd/mcsweep runs.
@@ -141,6 +142,7 @@ type Server struct {
 	cache      *layeredCache // simulation outcomes, keyed by Job.Key
 	resp       *lruCache     // rendered analyze responses
 	models     *lruCache     // prepared analytic evaluators, keyed by modelKey
+	orgs       *lruCache     // canonical org specs, keyed by raw spec string
 	respHits   atomic.Int64
 	respMisses atomic.Int64
 	flight     flightGroup
@@ -181,6 +183,7 @@ func New(cfg Config) (*Server, error) {
 		cache:            newLayeredCache(cfg.CacheSize, cfg.Disk),
 		resp:             newLRU(cfg.CacheSize),
 		models:           newLRU(cfg.CacheSize),
+		orgs:             newLRU(cfg.CacheSize),
 		store:            newJobStore(cfg.QueueDepth, cfg.MaxJobs),
 		sweepSem:         make(chan struct{}, cfg.ConcurrentSweeps),
 		logger:           cfg.Logger,

@@ -546,7 +546,7 @@ func TestDiskCacheSharedWithSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := jobRequest{Org: "m=4:2x1,2x2", Lambda: 0.0004, Warmup: 100, Measure: 1000, Drain: 100}
-	j, err := job.toJob()
+	j, err := job.toJob(canonicalOrgSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

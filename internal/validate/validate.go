@@ -112,10 +112,13 @@ func Sweep(cfg Config, points int, fraction float64) (Report, error) {
 		} else {
 			pc.Analysis = an
 		}
-		res, _ := mcsim.Run(mcsim.Config{
+		res, err := mcsim.Run(mcsim.Config{
 			Org: cfg.Org, Par: cfg.Par, LambdaG: lambda,
 			Warmup: cfg.Warmup, Measure: cfg.Measure, Drain: cfg.Drain, Seed: cfg.Seed,
 		})
+		if err != nil {
+			return rep, fmt.Errorf("validate: simulation at λ=%g: %w", lambda, err)
+		}
 		pc.Simulation = res.Latency.Mean
 		pc.SteadyState = !pc.AnalysisSaturated && pc.Simulation < 3*zl
 		if pc.SteadyState && pc.Simulation > 0 {

@@ -98,6 +98,20 @@ func TestSweepRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestSweepReturnsSimulationError pins that a failing simulation surfaces
+// from Sweep, naming the point's load, instead of scoring a zero latency.
+func TestSweepReturnsSimulationError(t *testing.T) {
+	bad := testConfig()
+	bad.Warmup = -1 // the model accepts it; mcsim.Run rejects the phase counts
+	_, err := Sweep(bad, 3, 1)
+	if err == nil {
+		t.Fatal("simulation error swallowed")
+	}
+	if !strings.Contains(err.Error(), "λ=") || !strings.Contains(err.Error(), "bad phase counts") {
+		t.Errorf("error %q does not name the point's load and the cause", err)
+	}
+}
+
 func TestPerClusterHeterogeneityAgreement(t *testing.T) {
 	// The paper's subject: per-cluster latencies under size heterogeneity.
 	// At modest load every cluster's model latency must track its simulated
