@@ -13,8 +13,9 @@
 //	mcexp -exp all -out results/     # everything + CSV files
 //
 // Each figure prints as an ASCII panel (analysis and simulation curves for
-// Lm=256 and Lm=512) plus a steady-state accuracy summary; CSVs land in the
-// -out directory for external plotting.
+// Lm=256 and Lm=512); every gated entry adds the steady-state accuracy of
+// each analysis/simulation pair. CSVs land in the -out directory for
+// external plotting.
 package main
 
 import (
@@ -92,8 +93,8 @@ func main() {
 				fatalf("%s: %v", e.Name, err)
 			}
 			fmt.Println(fig.Render(*width, *height))
-			fmt.Printf("steady-state mean |analysis−simulation|/simulation = %.1f%%   (%s, %v)\n\n",
-				100*fig.SteadyStateError(), *scale, time.Since(start).Round(time.Second))
+			printAgreement(e, fig.Series())
+			fmt.Printf("(%s, %v)\n\n", *scale, time.Since(start).Round(time.Second))
 			writeCSV(*out, e.Name, fig.Series())
 		case e.Report != nil:
 			text, err := e.Report(runner, pts)
@@ -107,6 +108,7 @@ func main() {
 				fatalf("%s: %v", e.Name, err)
 			}
 			fmt.Println(plot.ASCII(e.Title, series, *width, *height, plot.AutoCap(series)))
+			printAgreement(e, series)
 			fmt.Printf("(%s, %v)\n\n", *scale, time.Since(start).Round(time.Second))
 			writeCSV(*out, e.Name, series)
 		}
@@ -144,6 +146,18 @@ func selectEntries(exp string) []experiments.Entry {
 			fatalf("unknown -exp %q; valid: figs, all, %s", exp, strings.Join(experiments.ManifestNames(), ", "))
 		}
 		return []experiments.Entry{e}
+	}
+}
+
+// printAgreement prints the fidelity gate's steady-state agreement for each
+// of a gated entry's pairs (see experiments.Agree).
+func printAgreement(e experiments.Entry, series []plot.Series) {
+	if !e.Gated {
+		return
+	}
+	for _, pa := range experiments.AgreeAll(e, series, 0) {
+		fmt.Printf("steady-state mean |analysis−simulation|/simulation = %.1f%%   (%s vs %s, %d points)\n",
+			100*float64(pa.MeanRelErr), pa.Analysis, pa.Simulation, pa.Points)
 	}
 }
 

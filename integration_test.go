@@ -5,11 +5,11 @@ import (
 	"testing"
 
 	"mcnet/internal/analytic"
+	"mcnet/internal/experiments"
 	"mcnet/internal/mcsim"
 	"mcnet/internal/rng"
 	"mcnet/internal/system"
 	"mcnet/internal/units"
-	"mcnet/internal/validate"
 )
 
 // randomOrg draws a small random heterogeneous organization. Sizes are
@@ -83,30 +83,86 @@ func TestRandomOrganizationsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestValidationSweepOnTable1Orgs runs the validation harness on both paper
-// organizations at reduced scale — the programmatic version of the
-// EXPERIMENTS.md headline numbers.
+// TestValidationSweepOnTable1Orgs runs the manifest's validation sweep on
+// both paper organizations at reduced scale: the programmatic version of
+// the headline accuracy numbers (README "Reproducing the paper").
 func TestValidationSweepOnTable1Orgs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-simulation validation sweep skipped in -short mode")
 	}
-	for _, org := range []Organization{Table1Org1(), Table1Org2()} {
-		rep, err := validate.Sweep(validate.Config{
-			Org: org, Par: DefaultParams(),
-			Warmup: 1000, Measure: 12000, Drain: 1000, Seed: 9,
-		}, 6, 1.0)
-		if err != nil {
-			t.Fatalf("%s: %v", org.Name, err)
+	e, ok := experiments.Lookup("validate")
+	if !ok {
+		t.Fatal("manifest is missing validate")
+	}
+	r := experiments.NewRunner(experiments.Scale{Warmup: 1000, Measure: 12000, Drain: 1000, Seed: 9, Reps: 1})
+	series, err := e.Series(r, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pa := range experiments.AgreeAll(e, series, 0) {
+		t.Logf("%s vs %s: %d steady-state points, mean relative error %.3f",
+			pa.Analysis, pa.Simulation, pa.Points, float64(pa.MeanRelErr))
+		if mre := float64(pa.MeanRelErr); math.IsNaN(mre) || mre > 0.15 {
+			t.Errorf("%s vs %s: steady-state mean relative error = %.1f%%, want ≤ 15%% (%+v)",
+				pa.Analysis, pa.Simulation, 100*mre, pa)
 		}
-		if math.IsNaN(rep.SteadyStateMAPE) || rep.SteadyStateMAPE > 0.15 {
-			t.Errorf("%s: steady-state MAPE = %.1f%%, want ≤ 15%%\n%s",
-				org.Name, 100*rep.SteadyStateMAPE, rep)
+		// x is λ/λ_sat: the simulated knee, when visible, must sit left of
+		// the model's stability boundary.
+		if knee := float64(pa.SimSatLambda); !math.IsNaN(knee) && knee > 1 {
+			t.Errorf("%s: knee at %v·λ_sat, beyond the model's stability boundary", pa.Simulation, knee)
 		}
-		// The simulated knee, when visible, must sit left of the model's
-		// stability boundary (the regime ordering of EXPERIMENTS.md).
-		if !math.IsNaN(rep.SimKnee) && rep.SimKnee > rep.ModelSaturation {
-			t.Errorf("%s: knee %v beyond model λ_sat %v", org.Name, rep.SimKnee, rep.ModelSaturation)
+	}
+}
+
+// TestPerClusterHeterogeneityAgreement checks the paper's subject,
+// per-cluster latencies under size heterogeneity: at modest load every
+// cluster's model latency ℓ_i (Eq. 35) must track its simulated latency,
+// and the size ordering must agree between the two sides.
+func TestPerClusterHeterogeneityAgreement(t *testing.T) {
+	org := Organization{
+		Name:  "per-cluster",
+		Ports: 4,
+		Specs: []ClusterSpec{{Count: 2, Levels: 1}, {Count: 2, Levels: 2}},
+	}
+	sys := system.MustNew(org)
+	par := units.Default()
+	model, err := analytic.New(sys, par, analytic.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lambda := 0.3 * model.SaturationPoint(1e-6, 1, 1e-3)
+	an, err := model.Evaluate(lambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := mcsim.Run(mcsim.Config{
+		Org: org, Par: par, LambdaG: lambda,
+		Warmup: 500, Measure: 12000, Drain: 500, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(an.PerCluster) != 4 || len(sim.PerCluster) != 4 {
+		t.Fatalf("clusters: analysis %d, simulation %d, want 4", len(an.PerCluster), len(sim.PerCluster))
+	}
+	// The small clusters (4 nodes) vs the large (8 nodes) must sort the
+	// same way in both columns.
+	var smallA, smallS, largeA, largeS float64
+	for i, c := range sys.Clusters {
+		a, s := an.PerCluster[i].Latency, sim.PerCluster[i].Mean
+		if rel := math.Abs(a-s) / s; !(rel <= 0.20) {
+			t.Errorf("cluster %d (N_i=%d): per-cluster error %.1f%% (analysis %v, sim %v)",
+				i, c.Nodes, 100*rel, a, s)
 		}
+		if c.Nodes == 4 {
+			smallA, smallS = a, s
+		} else {
+			largeA, largeS = a, s
+		}
+	}
+	if (smallA < largeA) != (smallS < largeS) {
+		t.Errorf("size ordering disagrees: analysis (%v vs %v), sim (%v vs %v)",
+			smallA, largeA, smallS, largeS)
 	}
 }
 

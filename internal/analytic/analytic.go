@@ -47,7 +47,6 @@ import (
 	"fmt"
 	"math"
 
-	"mcnet/internal/markov"
 	"mcnet/internal/queueing"
 	"mcnet/internal/system"
 	"mcnet/internal/units"
@@ -92,7 +91,7 @@ type Options struct {
 	// The aggregate reading saturates the model a factor ≈2 before the
 	// paper's own plotted traffic ranges, while the per-node reading puts
 	// the model's saturation exactly where the paper's figures stop —
-	// see EXPERIMENTS.md (ablation A).
+	// see ablation A in README "Reproducing the paper".
 	SourceAggregate bool
 	// ExactICN2Pairs replaces the distribution P(h, n_c) by the exact NCA
 	// level of each cluster pair (i,v), a refinement the paper's model
@@ -291,7 +290,9 @@ func chainService(k int, eta func(int) float64, mtcs func(int) float64, mtcn flo
 			if e*s >= 1 {
 				return math.Inf(1), false
 			}
-			sumW += 0.5 * s * markov.ChannelBlockingProbability(e, s)
+			// P_B of Eq. 17 is the channel utilization η·S (DESIGN.md §3);
+			// the check above keeps it below 1.
+			sumW += 0.5 * s * (e * s)
 		}
 	}
 	return s, true

@@ -1,10 +1,9 @@
-package repro
+package experiments
 
 import (
 	"fmt"
 	"math"
 
-	"mcnet/internal/experiments"
 	"mcnet/internal/plot"
 	"mcnet/internal/sweep"
 )
@@ -14,8 +13,7 @@ import (
 // restricted to the steady-state region — the only region the paper claims
 // accuracy for: a grid point is usable when both values are finite, the
 // simulated latency is positive and it is below 3× the pair's low-load
-// analysis baseline (the same region experiments.Figure.SteadyStateError
-// measures). Floats serialize NaN as null (see sweep.Float).
+// analysis baseline. Floats serialize NaN as null (see sweep.Float).
 type PairAgreement struct {
 	Analysis   string `json:"analysis"`
 	Simulation string `json:"simulation"`
@@ -54,7 +52,7 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Agree computes the agreement of one declared pair over a study's series.
 // tol overrides the comparison tolerance when positive.
-func Agree(series []plot.Series, pair experiments.Pair, tol float64) PairAgreement {
+func Agree(series []plot.Series, pair Pair, tol float64) PairAgreement {
 	pa := PairAgreement{
 		Analysis: pair.Analysis, Simulation: pair.Simulation, Tolerance: tol,
 		MeanRelErr:        sweep.Float(math.NaN()),
@@ -130,13 +128,13 @@ func Agree(series []plot.Series, pair experiments.Pair, tol float64) PairAgreeme
 
 // AgreeAll evaluates every declared pair of a gated entry. tolOverride,
 // when positive, replaces the entry's own tolerance.
-func AgreeAll(e experiments.Entry, series []plot.Series, tolOverride float64) []PairAgreement {
+func AgreeAll(e Entry, series []plot.Series, tolOverride float64) []PairAgreement {
 	tol := e.Tolerance
 	if tolOverride > 0 {
 		tol = tolOverride
 	}
 	if tol <= 0 {
-		tol = experiments.DefaultTolerance
+		tol = DefaultTolerance
 	}
 	out := make([]PairAgreement, len(e.Pairs))
 	for i, p := range e.Pairs {

@@ -1,16 +1,15 @@
-package repro
+package experiments
 
 import (
 	"math"
 	"strings"
 	"testing"
 
-	"mcnet/internal/experiments"
 	"mcnet/internal/plot"
 )
 
-func pair() experiments.Pair {
-	return experiments.Pair{Analysis: "analysis", Simulation: "simulation"}
+func pair() Pair {
+	return Pair{Analysis: "analysis", Simulation: "simulation"}
 }
 
 func TestAgreePerfectMatch(t *testing.T) {
@@ -87,8 +86,8 @@ func TestAgreeNoUsablePoints(t *testing.T) {
 }
 
 func TestAgreeAllToleranceResolution(t *testing.T) {
-	e := experiments.Entry{
-		Gated: true, Pairs: []experiments.Pair{pair()},
+	e := Entry{
+		Gated: true, Pairs: []Pair{pair()},
 	}
 	s := []plot.Series{
 		{Label: "analysis", X: []float64{1}, Y: []float64{12}},

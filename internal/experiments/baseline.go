@@ -79,10 +79,11 @@ type SaturationRow struct {
 	PaperXMax   float64
 }
 
-// SaturationSummary regenerates the λ_sat table of EXPERIMENTS.md: the
-// model's saturation point for every figure panel next to the paper's
-// plotted x-range (the paper stopped each axis where its analysis
-// saturated, which is the comparison that anchors the calibration).
+// SaturationSummary regenerates the λ_sat table of the manifest's
+// `saturation` study (README "Reproducing the paper"): the model's
+// saturation point for every figure panel next to the paper's plotted
+// x-range (the paper stopped each axis where its analysis saturated, which
+// is the comparison that anchors the calibration).
 func SaturationSummary() ([]SaturationRow, error) {
 	cases := []SaturationRow{
 		{Panel: "Fig3-left", Org: "org1", MFlits: 32, FlitBytes: 256, PaperXMax: 5e-4},

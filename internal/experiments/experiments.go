@@ -49,10 +49,6 @@ type Point struct {
 	SimStdDev  float64
 	// AnalysisSaturated marks loads past the model's stability region.
 	AnalysisSaturated bool
-	// SimSaturated flags simulation points dominated by unbounded queue
-	// growth (mean latency > 50× the zero-load analysis value), the regime
-	// right of the knee in the paper's figures.
-	SimSaturated bool
 }
 
 // Curve is one (message geometry) line of a figure: analysis + simulation.
@@ -240,15 +236,6 @@ func (r Runner) LatencyFigure(name, title string, org system.Organization, mFlit
 			}
 		}
 	}
-	zeroLoad := make([]float64, len(flitBytes))
-	for i, m := range models {
-		zl, err := m.MeanLatency(xMax * 1e-6)
-		if err != nil {
-			return fig, err
-		}
-		zeroLoad[i] = zl
-	}
-
 	// The figure's whole simulation grid is one sweep: the message-geometry
 	// axis carries the curves, the load axis the operating points.
 	spec := r.simSpec(name, org, units.Default().WithMessage(mFlits, flitBytes[0]), lambdas)
@@ -264,7 +251,6 @@ func (r Runner) LatencyFigure(name, title string, org system.Organization, mFlit
 		pt := &fig.Curves[k[0]].Points[k[1]]
 		pt.Simulation = st.mean
 		pt.SimStdDev = st.sd
-		pt.SimSaturated = st.mean > 50*zeroLoad[k[0]]
 	}
 	return fig, nil
 }
@@ -334,43 +320,6 @@ func (f Figure) Render(width, height int) string {
 	b.WriteString(plot.ASCII(f.Title, f.Series(), width, height, yCap))
 	b.WriteString(fmt.Sprintf("%10s  x-axis: offered traffic λ_g (messages/node/time-unit); y: mean latency\n", ""))
 	return b.String()
-}
-
-// SteadyStateError summarizes model accuracy in the steady-state region —
-// the paper's own accuracy claim is limited to that region ("the model
-// predicts … with a good degree of accuracy when the system … has not
-// reached the saturation point"). A point is in the steady-state region
-// when its simulated latency is below 3× the curve's low-load baseline;
-// the mean absolute relative error over those points is returned.
-func (f Figure) SteadyStateError() float64 {
-	var sum float64
-	var n int
-	for _, c := range f.Curves {
-		baseline := math.NaN()
-		for _, p := range c.Points {
-			if !p.AnalysisSaturated && !math.IsNaN(p.Analysis) {
-				baseline = p.Analysis
-				break
-			}
-		}
-		if math.IsNaN(baseline) {
-			continue
-		}
-		for _, p := range c.Points {
-			if p.AnalysisSaturated || p.SimSaturated || math.IsNaN(p.Simulation) || p.Simulation == 0 {
-				continue
-			}
-			if p.Simulation > 3*baseline {
-				continue // past the knee: the paper reports divergence here too
-			}
-			sum += math.Abs(p.Analysis-p.Simulation) / p.Simulation
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
 }
 
 // Table1 regenerates the paper's Table 1: the two validated organizations
@@ -731,6 +680,47 @@ func (r Runner) InterpretationAblation(org system.Organization, par units.Params
 	}
 	for k, st := range aggregateReps(results, func(j sweep.Job) [2]int { return [2]int{0, j.LoadIndex} }) {
 		series[2].Y[k[1]] = st.mean
+	}
+	return series, nil
+}
+
+// validationOrgs are the organizations of the validation sweep: the
+// paper's two Table 1 systems, by their named shortcuts.
+var validationOrgs = []string{"org1", "org2"}
+
+// ValidationStudy is the paper's §4 accuracy claim as one sweep: every
+// validation organization at `points` loads λ_sat·i/points spanning its
+// calibrated stability region, with the engine's calibrated analysis beside
+// each simulation. x is λ/λ_sat, so the organizations share one load axis
+// and Agree's saturation onsets read as fractions of λ_sat.
+func (r Runner) ValidationStudy(points int) ([]plot.Series, error) {
+	results, err := r.runSweep(sweep.Spec{
+		Name:   "validate",
+		Orgs:   validationOrgs,
+		Loads:  sweep.Loads{Points: points, MaxFraction: 1},
+		Warmup: r.Scale.Warmup, Measure: r.Scale.Measure, Drain: r.Scale.Drain,
+		BaseSeed: r.Scale.Seed, Reps: r.Scale.Reps,
+		Model: "calibrated",
+	})
+	if err != nil {
+		return nil, err
+	}
+	xs := make([]float64, points)
+	for i := range xs {
+		xs[i] = float64(i+1) / float64(points)
+	}
+	series := make([]plot.Series, 0, 2*len(validationOrgs))
+	for _, org := range validationOrgs {
+		series = append(series,
+			plot.Series{Label: "analysis " + org, X: xs, Y: make([]float64, points)},
+			plot.Series{Label: "sim " + org, X: xs, Y: make([]float64, points)},
+		)
+	}
+	for _, res := range results {
+		series[2*res.Job.OrgIndex].Y[res.Job.LoadIndex] = float64(res.Analysis)
+	}
+	for k, st := range aggregateReps(results, func(j sweep.Job) [2]int { return [2]int{j.OrgIndex, j.LoadIndex} }) {
+		series[2*k[0]+1].Y[k[1]] = st.mean
 	}
 	return series, nil
 }

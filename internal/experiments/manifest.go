@@ -7,7 +7,6 @@ import (
 	"mcnet/internal/plot"
 	"mcnet/internal/system"
 	"mcnet/internal/units"
-	"mcnet/internal/validate"
 )
 
 // Kind classifies a manifest entry by the shape of its output.
@@ -17,11 +16,10 @@ const (
 	// KindFigure entries regenerate one of the paper's latency panels
 	// (analysis + simulation curves per flit size).
 	KindFigure Kind = "figure"
-	// KindStudy entries produce a set of plottable series (the ablations and
-	// heterogeneity/workload extensions).
+	// KindStudy entries produce a set of plottable series (the validation
+	// sweep, the ablations and the heterogeneity/workload extensions).
 	KindStudy Kind = "study"
-	// KindReport entries produce free text (Table 1, the saturation summary,
-	// the validation sweep).
+	// KindReport entries produce free text (Table 1, the saturation summary).
 	KindReport Kind = "report"
 )
 
@@ -69,7 +67,7 @@ type Entry struct {
 	Series func(r Runner, points int) ([]plot.Series, error) `json:"-"`
 	// Figure, set for KindFigure entries, regenerates the full Figure
 	// (Series is derived from it; the Figure form additionally carries
-	// saturation flags and the steady-state error summary).
+	// saturation flags).
 	Figure func(r Runner, points int) (Figure, error) `json:"-"`
 	// Report produces the entry's text output (KindReport only).
 	Report func(r Runner, points int) (string, error) `json:"-"`
@@ -136,26 +134,10 @@ func Manifest() []Entry {
 			},
 		},
 		{
-			Name: "validate", Title: "Validation sweep: per-region model accuracy (Org1, Org2)",
-			Kind: KindReport, DefaultPoints: 10,
-			Report: func(r Runner, points int) (string, error) {
-				var b strings.Builder
-				for _, name := range []string{"org1", "org2"} {
-					org, err := system.ParseOrganization(name)
-					if err != nil {
-						return "", err
-					}
-					rep, err := validate.Sweep(validate.Config{
-						Org: org, Par: units.Default(),
-						Warmup: r.Scale.Warmup, Measure: r.Scale.Measure,
-						Drain: r.Scale.Drain, Seed: r.Scale.Seed,
-					}, points, 1.0)
-					if err != nil {
-						return "", fmt.Errorf("validate %s: %w", name, err)
-					}
-					fmt.Fprintf(&b, "Validation sweep — %s (M=32, Lm=256)\n%s\n", org.Name, rep)
-				}
-				return b.String(), nil
+			Name: "validate", Title: "Validation sweep: model accuracy up to λ_sat (Org1, Org2, M=32, Lm=256)",
+			Kind: KindStudy, Gated: true, Tolerance: DefaultTolerance, DefaultPoints: 10,
+			Series: func(r Runner, points int) ([]plot.Series, error) {
+				return r.ValidationStudy(points)
 			},
 		},
 		figureEntry("fig3-m32", "Fig. 3 (left): N=1120, m=8, M=32", system.Table1Org1(), 32, true),
@@ -253,10 +235,10 @@ func Manifest() []Entry {
 			},
 		},
 	}
-	// The link-heterogeneity and topology schemas and pairs derive from the
-	// shared config tables, so adding a configuration there extends the gate
-	// too.
-	configLabels := map[string][]string{}
+	// The validation, link-heterogeneity and topology schemas and pairs
+	// derive from the shared config tables, so adding a configuration there
+	// extends the gate too.
+	configLabels := map[string][]string{"validate": validationOrgs}
 	for _, c := range LinkHeterogeneityConfigs {
 		configLabels["link-hetero"] = append(configLabels["link-hetero"], c.Label)
 	}

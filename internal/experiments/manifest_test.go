@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -99,7 +100,7 @@ func TestManifestLabelsMatchProducedSeries(t *testing.T) {
 	sc := QuickScale()
 	sc.Warmup, sc.Measure, sc.Drain = 50, 200, 50
 	r := NewRunner(sc)
-	for _, name := range []string{"rate-hetero", "ablation-routing"} {
+	for _, name := range []string{"rate-hetero", "ablation-routing", "validate"} {
 		e, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("manifest is missing %s", name)
@@ -116,6 +117,22 @@ func TestManifestLabelsMatchProducedSeries(t *testing.T) {
 				t.Errorf("%s: series %d label %q, schema declares %q", name, i, s.Label, e.SeriesLabels[i])
 			}
 		}
+	}
+}
+
+// TestValidateEntryRejectsBadScale pins that the validation sweep returns
+// a bad measurement scale as an error instead of scoring a study that
+// never ran.
+func TestValidateEntryRejectsBadScale(t *testing.T) {
+	e, ok := Lookup("validate")
+	if !ok {
+		t.Fatal("manifest is missing validate")
+	}
+	sc := QuickScale()
+	sc.Warmup = -1
+	_, err := e.Series(NewRunner(sc), 3)
+	if err == nil || !strings.Contains(err.Error(), "negative warmup") {
+		t.Errorf("error = %v, want the spec's negative-warmup rejection", err)
 	}
 }
 

@@ -138,7 +138,7 @@ type StudyReport struct {
 	SchemaViolations []string `json:"schema_violations,omitempty"`
 	// Pairs carries the model-vs-simulation agreement of every declared
 	// pair (gated entries only).
-	Pairs []PairAgreement `json:"pairs,omitempty"`
+	Pairs []experiments.PairAgreement `json:"pairs,omitempty"`
 	// Error is a study-level execution failure ("" = ran to completion).
 	Error string `json:"error,omitempty"`
 	// Pass is the study verdict: no error, no schema violation, every
@@ -501,7 +501,7 @@ func runStudy(dir string, e experiments.Entry, cfg Config, runner experiments.Ru
 			break
 		}
 		if e.Gated {
-			sr.Pairs = AgreeAll(e, series, cfg.Threshold)
+			sr.Pairs = experiments.AgreeAll(e, series, cfg.Threshold)
 		}
 
 	default:

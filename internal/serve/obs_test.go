@@ -225,7 +225,7 @@ func TestJobTimestampsAndWallTime(t *testing.T) {
 
 // TestRunningJobReportsProgress holds a job mid-execution with a live
 // progress probe registered under its key — the shape the real execution
-// path (outcome → sweep.ExecuteObserved) produces — and checks the running
+// path (outcome → sweep.Execute) produces — and checks the running
 // document surfaces it.
 func TestRunningJobReportsProgress(t *testing.T) {
 	started := make(chan string, 1)

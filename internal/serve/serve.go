@@ -322,7 +322,7 @@ func (s *Server) outcome(j sweep.Job) (sweep.Outcome, bool, error) {
 			// the per-tier Prometheus counters.
 			p := s.progress.begin(key)
 			var rep *mcsim.TelemetryReport
-			o, rep, err = sweep.ExecuteOpts(j, sweep.ExecOptions{
+			o, rep, err = sweep.Execute(j, sweep.ExecOptions{
 				OnProgress: p.update,
 				Telemetry:  &mcsim.TelemetryConfig{},
 				OnTelemetry: func(t *mcsim.Telemetry) {

@@ -281,14 +281,16 @@ func (e *Engine) runJobInner(ctx context.Context, j Job, telemetry bool) (Result
 	var err error
 	if e.Exec != nil {
 		o, err = e.Exec(j)
-	} else if telemetry {
+	} else {
+		var opt ExecOptions
+		if telemetry {
+			opt.Telemetry = &mcsim.TelemetryConfig{}
+		}
 		var rep *mcsim.TelemetryReport
-		o, rep, err = ExecuteOpts(j, ExecOptions{Telemetry: &mcsim.TelemetryConfig{}})
-		if err == nil && e.TelemetrySink != nil {
+		o, rep, err = Execute(j, opt)
+		if err == nil && rep != nil && e.TelemetrySink != nil {
 			e.TelemetrySink(j, rep)
 		}
-	} else {
-		o, err = Execute(j)
 	}
 	if err != nil {
 		return Result{}, err
@@ -301,29 +303,16 @@ func (e *Engine) runJobInner(ctx context.Context, j Job, telemetry bool) (Result
 	return Result{Job: j, Outcome: o}, nil
 }
 
-// Execute runs one job's simulation to completion.
-func Execute(j Job) (Outcome, error) {
-	return ExecuteObserved(j, 0, nil)
-}
-
-// ExecuteObserved is Execute with a live progress probe: onProgress, if
-// non-nil, is sampled from the simulator's event loop about every `every`
-// executed events (0 = the simulator's default stride). The probe has no
-// effect on the outcome — ExecuteObserved(j, 0, nil) is exactly Execute(j).
-func ExecuteObserved(j Job, every uint64, onProgress func(events uint64, simTime float64)) (Outcome, error) {
-	o, _, err := ExecuteOpts(j, ExecOptions{ProgressEvery: every, OnProgress: onProgress})
-	return o, err
-}
-
-// ExecOptions parameterizes ExecuteOpts. The zero value is plain Execute.
+// ExecOptions parameterizes Execute. The zero value runs the simulation
+// with no observation hooks.
 type ExecOptions struct {
 	// OnProgress, if non-nil, samples the run's liveness about every
 	// ProgressEvery executed events (0 = the simulator's default stride).
 	ProgressEvery uint64
 	OnProgress    func(events uint64, simTime float64)
 	// Telemetry, if non-nil, enables the simulator's contention instrument:
-	// the returned outcome carries the summary digest and ExecuteOpts
-	// returns the full report. Observation-only — the measurements are
+	// the returned outcome carries the summary digest and Execute returns
+	// the full report. Observation-only — the measurements are
 	// bit-identical with or without it.
 	Telemetry *mcsim.TelemetryConfig
 	// OnTelemetry, if non-nil (and Telemetry is set), receives the live
@@ -332,9 +321,11 @@ type ExecOptions struct {
 	OnTelemetry func(*mcsim.Telemetry)
 }
 
-// ExecuteOpts runs one job's simulation with optional observation hooks.
-// The returned report is nil unless opt.Telemetry is set.
-func ExecuteOpts(j Job, opt ExecOptions) (Outcome, *mcsim.TelemetryReport, error) {
+// Execute runs one job's simulation to completion with optional
+// observation hooks. The hooks only observe: every ExecOptions yields the
+// measurements of ExecOptions{}. The returned report is nil unless
+// opt.Telemetry is set.
+func Execute(j Job, opt ExecOptions) (Outcome, *mcsim.TelemetryReport, error) {
 	org, err := j.TopoOrg()
 	if err != nil {
 		return Outcome{}, nil, err

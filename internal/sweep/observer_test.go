@@ -64,15 +64,16 @@ func TestObserverSeesEveryJob(t *testing.T) {
 }
 
 // TestExecuteObservedIdentity: the probe has no effect on the outcome —
-// ExecuteObserved with a progress callback returns exactly what Execute
-// returns, and the probe reports monotonically non-decreasing event counts.
+// Execute with a progress callback returns exactly what Execute without
+// hooks returns, and the probe reports monotonically non-decreasing event
+// counts.
 func TestExecuteObservedIdentity(t *testing.T) {
 	jobs, err := Expand(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	j := jobs[0]
-	plain, err := Execute(j)
+	plain, _, err := Execute(j, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestExecuteObservedIdentity(t *testing.T) {
 	var lastEvents uint64
 	lastSim := -1.0
 	// A small stride on a tiny job still yields several samples.
-	observed, err := ExecuteObserved(j, 512, func(events uint64, simTime float64) {
+	observed, _, err := Execute(j, ExecOptions{ProgressEvery: 512, OnProgress: func(events uint64, simTime float64) {
 		samples++
 		if events < lastEvents {
 			t.Errorf("events went backwards: %d after %d", events, lastEvents)
@@ -90,7 +91,7 @@ func TestExecuteObservedIdentity(t *testing.T) {
 			t.Errorf("sim time went backwards: %g after %g", simTime, lastSim)
 		}
 		lastEvents, lastSim = events, simTime
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
